@@ -24,26 +24,10 @@ namespace cal::kernels {
       bool ta, bool tb, bool accumulate, std::size_t i_begin,               \
       std::size_t i_end
 
-// Packs the (p0, kc) x (j0, nc) block of op(B) into the panel layout the
-// micro-kernel consumes. `out` must hold GemmF32Ops::packed_b_floats.
-#define CAL_GEMM_PACK_B_ARGS                                                \
-  const float *b, std::size_t k, std::size_t n, std::size_t ldb, bool tb,   \
-      std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,       \
-      float *out
-
-// Row-slice driver over ONE (j0, nc) x (p0, kc) block whose B panel was
-// already packed (shared across row-split tasks). `acc_block` is the
-// effective accumulate flag for this k block (accumulate || p0 > 0).
-#define CAL_GEMM_PREPACKED_ARGS                                             \
-  const float *a, const float *bpack, float *c, std::size_t m,              \
-      std::size_t k, std::size_t n, std::size_t lda, std::size_t ldc,       \
-      bool ta, bool acc_block, std::size_t p0, std::size_t kc,              \
-      std::size_t j0, std::size_t nc, std::size_t i_begin, std::size_t i_end
-
 // Rows [i_begin, i_end) of the int8 GEMM: C[i,j] (+)= scale_a[i] *
 // scale_b[j] * sum_p A[i,p]·B[p,j] with an exact int32 inner product.
-// B arrives pre-packed (pack_b_s8 below) so row-split tasks share one
-// packed image; scale_b runs along the output channels (columns of C).
+// B arrives pre-packed (the pack_b entry below, once per GEMM); scale_b
+// runs along the output channels (columns of C).
 #define CAL_GEMM_S8_ROWS_ARGS                                               \
   const std::int8_t *a, const std::int8_t *bpack, float *c, std::size_t m,  \
       std::size_t k, std::size_t n, const float *scale_a,                   \
@@ -55,16 +39,8 @@ namespace cal::kernels {
   const std::int8_t *b, std::size_t k, std::size_t n, bool tb,              \
       std::int8_t *out
 
-/// Per-ISA fp32 entry points plus the blocking constants the shared-pack
-/// driver in gemm.cpp needs to size pool-owned scratch and iterate blocks.
-struct GemmF32Ops {
-  void (*gemm_rows)(CAL_GEMM_ROWS_ARGS);  ///< self-packing row driver
-  void (*pack_b_block)(CAL_GEMM_PACK_B_ARGS);
-  void (*gemm_rows_prepacked)(CAL_GEMM_PREPACKED_ARGS);
-  std::size_t block_kc;         ///< k-block size (kKC)
-  std::size_t block_nc;         ///< n-block size (kNC)
-  std::size_t packed_b_floats;  ///< capacity of one packed B block
-};
+/// Per-ISA fp32 entry point: the self-packing row driver.
+using GemmRowsFn = void (*)(CAL_GEMM_ROWS_ARGS);
 
 /// Per-ISA int8 entry points. packed_b_bytes sizes the packed image of the
 /// WHOLE B operand (the int8 path packs once per GEMM, no cache blocking:
@@ -85,11 +61,11 @@ struct GemmS8Ops {
 };
 
 namespace arch_base {
-const GemmF32Ops& f32_ops();
+GemmRowsFn f32_ops();
 const GemmS8Ops& s8_ops();
 }  // namespace arch_base
 namespace arch_v3 {  // defined only when CMake adds the TU
-const GemmF32Ops& f32_ops();
+GemmRowsFn f32_ops();
 const GemmS8Ops& s8_ops();
 }  // namespace arch_v3
 namespace arch_v512 {  // defined only when CMake adds the TU

@@ -3,8 +3,8 @@
 // CMakeLists.txt); gemm.cpp dispatches to it at runtime only when the CPU
 // reports the full avx512 f/bw/dq/vl/cd set. The fp32 body is deliberately
 // NOT instantiated here: fp32 serving promises bit-identical results
-// across thread splits and deploys, and a wider fp32 micro-kernel would
-// change the reduction shape. The int8 path has no such hazard — its
+// across deploys, and a wider fp32 micro-kernel would change the
+// reduction shape. The int8 path has no such hazard — its
 // int32 inner product is exact on every ISA.
 #define CAL_GEMM_ARCH_NS arch_v512
 #include "gemm_s8_kernel_body.inc"

@@ -7,7 +7,6 @@
 
 #include "common/ensure.hpp"
 #include "common/fault_inject.hpp"
-#include "kernels/gemm.hpp"
 
 namespace cal::serve {
 namespace {
@@ -499,7 +498,7 @@ EngineSubmission ServeEngine::submit_blocking(
   // Exponential backoff (100us -> ~6.4ms) keeps a producer blocked on a
   // saturated tenant from spinning the admission path hot; precise
   // condvar backpressure is deliberately NOT rebuilt here — this wrapper
-  // exists for the deprecated shims and drive loops, and overload-aware
+  // exists for drive loops (benches, examples, tests), and overload-aware
   // callers should handle the typed denials themselves.
   auto backoff = std::chrono::microseconds(100);
   constexpr auto kMaxBackoff = std::chrono::microseconds(6400);
@@ -1227,20 +1226,6 @@ obs::MetricsRegistry ServeEngine::metrics() const {
                       reload_flushes_.load(std::memory_order_relaxed)));
   reg.add_gauge("cal_serve_pool_size", "Shared worker threads", {},
                 static_cast<double>(cfg_.pool_size));
-
-  const kernels::PoolMetrics pool = kernels::pool_metrics();
-  reg.add_counter("cal_gemm_parallel_total",
-                  "GEMMs dispatched through the kernel pool", {},
-                  static_cast<double>(pool.parallel_gemms));
-  reg.add_counter("cal_gemm_serial_fallbacks_total",
-                  "Pool-eligible GEMMs that ran serial (pool busy)", {},
-                  static_cast<double>(pool.serial_fallbacks));
-  reg.add_counter("cal_gemm_pool_tasks_total",
-                  "Row-block tasks executed by the kernel pool", {},
-                  static_cast<double>(pool.tasks));
-  reg.add_histogram("cal_gemm_pool_task_ms",
-                    "Kernel-pool row-block task wall time, ms", {},
-                    pool.task_ms);
 
   const obs::Tracer& tracer = obs::Tracer::instance();
   const obs::Tracer::Totals totals = tracer.totals();

@@ -288,9 +288,9 @@ class ServeEngine {
       std::optional<std::chrono::steady_clock::time_point> deadline =
           std::nullopt);
 
-  /// Blocking convenience wrapper for legacy-style producers (and the
-  /// deprecated shims): retries OverQuota / QueueFull denials with a
-  /// short poll until the request is Accepted or Rejected. BreakerOpen is
+  /// Blocking convenience wrapper for drive loops (benches, examples,
+  /// tests): retries OverQuota / QueueFull denials with a short poll
+  /// until the request is Accepted or Rejected. BreakerOpen is
   /// NOT retried — it is returned like Rejected, because an open breaker
   /// deliberately sheds load and a polling retry would defeat it.
   /// `denials`, when given, counts the retried attempts.

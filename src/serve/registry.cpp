@@ -248,10 +248,4 @@ std::shared_ptr<const DeploymentSnapshot> ModelRegistry::publish() {
   return snap;
 }
 
-ModelRegistry::Resolution ModelRegistry::resolve(
-    const TenantKey& request) const {
-  return resolve_tenant(request, fallbacks_,
-                        [this](const TenantKey& k) { return contains(k); });
-}
-
 }  // namespace cal::serve

@@ -24,7 +24,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -112,9 +111,6 @@ class ModelRegistry {
   /// Device profiles tried, in order, when a request's exact profile has
   /// no entry. Default: {""} — fall back to the venue-generic entry only.
   void set_profile_fallbacks(std::vector<std::string> chain);
-  const std::vector<std::string>& profile_fallbacks() const {
-    return fallbacks_;
-  }
 
   std::size_t size() const { return tenants_.size(); }
   bool contains(const TenantKey& key) const;
@@ -139,14 +135,6 @@ class ModelRegistry {
   /// outside [0,1], drift policy without a screen, negative quota). The
   /// snapshot is self-contained: later registry mutations never touch it.
   std::shared_ptr<const DeploymentSnapshot> publish();
-
-  /// How a requested tenant maps onto the catalogue.
-  struct Resolution {
-    enum class Kind { Exact, Fallback, Miss };
-    Kind kind = Kind::Miss;
-    TenantKey resolved;  ///< valid unless kind == Miss
-  };
-  Resolution resolve(const TenantKey& request) const;
 
  private:
   static void validate_spec(const TenantKey& key, const TenantSpec& spec);
@@ -173,24 +161,5 @@ class ModelRegistry {
   std::vector<std::string> fallbacks_{std::string{}};
   std::uint64_t next_epoch_ = 0;
 };
-
-/// THE tenant-resolution policy — exact key, then the profile fallback
-/// chain, else miss — in one place, shared by ModelRegistry::resolve,
-/// ShardRouter::route, and DeploymentSnapshot::route (each runs it over
-/// its own key snapshot). `contains` answers membership over whichever
-/// key set the caller holds.
-template <typename ContainsFn>
-ModelRegistry::Resolution resolve_tenant(const TenantKey& request,
-                                         std::span<const std::string> fallbacks,
-                                         ContainsFn&& contains) {
-  using Kind = ModelRegistry::Resolution::Kind;
-  if (contains(request)) return {Kind::Exact, request};
-  for (const std::string& profile : fallbacks) {
-    if (profile == request.device_profile) continue;  // already tried
-    TenantKey candidate{request.building, request.floor, profile};
-    if (contains(candidate)) return {Kind::Fallback, std::move(candidate)};
-  }
-  return {Kind::Miss, {}};
-}
 
 }  // namespace cal::serve

@@ -183,8 +183,6 @@ struct ServiceConfig {
   QuotaPolicy quota;
   /// Fault circuit breaker; disabled by default.
   BreakerPolicy breaker;
-  /// Base seed for the per-worker Rng streams.
-  std::uint64_t seed = 2026;
 };
 
 }  // namespace cal::serve

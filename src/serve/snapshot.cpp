@@ -1,6 +1,7 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/ensure.hpp"
 
@@ -73,15 +74,18 @@ const TenantDeployment* DeploymentSnapshot::find(const TenantKey& key) const {
 }
 
 RouteDecision DeploymentSnapshot::route(const TenantKey& request) const {
-  const auto res =
-      resolve_tenant(request, fallbacks_, [this](const TenantKey& k) {
-        return by_key_.find(k) != by_key_.end();
-      });
-  if (res.kind == ModelRegistry::Resolution::Kind::Miss) return {};
-  return {res.kind == ModelRegistry::Resolution::Kind::Exact
-              ? RouteDecision::Status::Exact
-              : RouteDecision::Status::Fallback,
-          by_key_.at(res.resolved), res.resolved};
+  // The one tenant-resolution policy: exact key, then the profile
+  // fallback chain, else a deterministic reject.
+  if (const auto it = by_key_.find(request); it != by_key_.end())
+    return {RouteDecision::Status::Exact, it->second, request};
+  for (const std::string& profile : fallbacks_) {
+    if (profile == request.device_profile) continue;  // already tried
+    TenantKey candidate{request.building, request.floor, profile};
+    if (const auto it = by_key_.find(candidate); it != by_key_.end())
+      return {RouteDecision::Status::Fallback, it->second,
+              std::move(candidate)};
+  }
+  return {};
 }
 
 }  // namespace cal::serve

@@ -131,17 +131,15 @@ class DeploymentSnapshot {
   std::size_t num_tenants() const { return tenants_.size(); }
 
   /// Tenants are str()-sorted by key — the same deterministic shard
-  /// numbering ModelRegistry::keys() and ShardRouter use.
+  /// numbering ModelRegistry::keys() uses.
   const TenantDeployment& tenant(std::size_t shard) const;
 
   const TenantDeployment* find(const TenantKey& key) const;
 
   /// Exact → profile-fallback-chain → deterministic reject, over this
-  /// snapshot's key set (resolve_tenant, the one policy shared with the
-  /// registry and router).
+  /// snapshot's key set. The only routing view: the engine re-snapshots
+  /// the key set on every hot reload.
   RouteDecision route(const TenantKey& request) const;
-
-  const std::vector<std::string>& fallbacks() const { return fallbacks_; }
 
  private:
   friend class ModelRegistry;

@@ -1,7 +1,7 @@
 // cal_kernels correctness: the blocked/register-tiled gemm_nn/nt/tn must
 // match the naive triple-loop reference over odd and ragged shapes, honour
 // the accumulate flag, propagate NaN/Inf per IEEE 754 (no zero-skip), and
-// be bit-identical for every thread count.
+// stay bit-identical under concurrent callers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -156,49 +156,6 @@ TEST(Kernels, BlockedPathPropagatesNanAndInf) {
     EXPECT_TRUE(std::isnan(ctn.at(4, j)));
 }
 
-TEST(Kernels, ThreadedSplitIsBitIdenticalToSerial) {
-  // Big enough to clear the parallel-dispatch FLOP threshold.
-  const Shape s{256, 320, 192};
-  const Tensor a = random_mat(11, s.m, s.k);
-  const Tensor b = random_mat(12, s.k, s.n);
-  Tensor serial({s.m, s.n});
-  ASSERT_EQ(kernels::max_threads(), 1u);
-  kernels::gemm_nn(a.flat(), b.flat(), serial.flat(), s.m, s.k, s.n);
-  kernels::set_max_threads(4);
-  Tensor threaded({s.m, s.n});
-  kernels::gemm_nn(a.flat(), b.flat(), threaded.flat(), s.m, s.k, s.n);
-  kernels::set_max_threads(1);
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i], threaded[i]) << "thread split changed bits at " << i;
-}
-
-TEST(Kernels, ConcurrentCallersWithThreadsEnabledStayCorrect) {
-  // Several threads issue pool-sized GEMMs at once: whoever does not win
-  // the pool gate must fall back to the (bit-identical) serial path, never
-  // join a foreign job or deadlock.
-  const Shape s{192, 256, 160};
-  const Tensor a = random_mat(21, s.m, s.k);
-  const Tensor b = random_mat(22, s.k, s.n);
-  Tensor want({s.m, s.n});
-  kernels::gemm_nn(a.flat(), b.flat(), want.flat(), s.m, s.k, s.n);
-  kernels::set_max_threads(4);
-  constexpr std::size_t kCallers = 4;
-  std::vector<Tensor> outs(kCallers, Tensor({s.m, s.n}));
-  std::vector<std::thread> callers;
-  callers.reserve(kCallers);
-  for (std::size_t t = 0; t < kCallers; ++t)
-    callers.emplace_back([&, t] {
-      for (int rep = 0; rep < 10; ++rep)
-        kernels::gemm_nn(a.flat(), b.flat(), outs[t].flat(), s.m, s.k, s.n);
-    });
-  for (auto& c : callers) c.join();
-  kernels::set_max_threads(1);
-  for (std::size_t t = 0; t < kCallers; ++t)
-    for (std::size_t i = 0; i < want.size(); ++i)
-      ASSERT_EQ(outs[t][i], want[i])
-          << "concurrent caller " << t << " diverged at " << i;
-}
-
 TEST(Kernels, RejectsMissizedSpans) {
   Tensor a({4, 3});
   Tensor b({3, 5});
@@ -283,22 +240,6 @@ TEST(Kernels, BatchedKZeroZeroFillsUnlessAccumulating) {
   kernels::gemm_batched_nn({}, {}, kept, batch, m, 0, n, {},
                            /*accumulate=*/true);
   for (float v : kept) EXPECT_EQ(v, 7.0F);
-}
-
-TEST(Kernels, BatchedThreadedSplitIsBitIdenticalToSerial) {
-  const std::size_t batch = 8, m = 96, k = 128, n = 80;
-  const Tensor a = random_mat(51, batch * m, k);
-  const Tensor b = random_mat(52, batch * k, n);
-  std::vector<float> serial(batch * m * n);
-  ASSERT_EQ(kernels::max_threads(), 1u);
-  kernels::gemm_batched_nn(a.flat(), b.flat(), serial, batch, m, k, n);
-  kernels::set_max_threads(4);
-  std::vector<float> threaded(batch * m * n);
-  kernels::gemm_batched_nn(a.flat(), b.flat(), threaded, batch, m, k, n);
-  kernels::set_max_threads(1);
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i], threaded[i])
-        << "batched thread split changed bits at " << i;
 }
 
 // --- int8 quantized --------------------------------------------------------
@@ -400,22 +341,51 @@ TEST(Kernels, GemmS8AccumulateAndSaturatedInputsStayExact) {
     ASSERT_EQ(got[i], want[i]) << "saturated accumulate diverged at " << i;
 }
 
-TEST(Kernels, GemmS8ThreadedSplitIsBitIdenticalToSerial) {
-  const std::size_t m = 256, k = 320, n = 192;
-  const auto a = random_s8(91, m * k);
-  const auto b = random_s8(92, k * n);
-  const auto sa = random_scales(93, m);
-  const auto sb = random_scales(94, n);
-  std::vector<float> serial(m * n);
-  ASSERT_EQ(kernels::max_threads(), 1u);
-  kernels::gemm_s8_nn(a, b, serial, m, k, n, sa, sb);
-  kernels::set_max_threads(4);
-  std::vector<float> threaded(m * n);
-  kernels::gemm_s8_nn(a, b, threaded, m, k, n, sa, sb);
-  kernels::set_max_threads(1);
-  for (std::size_t i = 0; i < serial.size(); ++i)
-    ASSERT_EQ(serial[i], threaded[i])
-        << "s8 thread split changed bits at " << i;
+TEST(Kernels, ConcurrentCallersStayCorrect) {
+  // Several threads run fp32 and int8 GEMMs at once, each on its own B
+  // operand. Packing scratch is thread-local, so every caller must
+  // reproduce its single-threaded result bit for bit; a scratch buffer
+  // shared between callers would mix their packed B panels.
+  constexpr std::size_t kCallers = 4;
+  const Shape s{192, 256, 160};
+  const Tensor a = random_mat(21, s.m, s.k);
+  const auto a8 = random_s8(23, s.m * s.k);
+  const auto sa = random_scales(25, s.m);
+  const auto sb = random_scales(26, s.n);
+  std::vector<Tensor> bs;
+  std::vector<std::vector<std::int8_t>> b8s;
+  std::vector<Tensor> want;
+  std::vector<std::vector<float>> want8;
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    bs.push_back(random_mat(22 + 10 * t, s.k, s.n));
+    b8s.push_back(random_s8(24 + 10 * t, s.k * s.n));
+    want.emplace_back(Tensor({s.m, s.n}));
+    kernels::gemm_nn(a.flat(), bs[t].flat(), want[t].flat(), s.m, s.k, s.n);
+    want8.emplace_back(s.m * s.n);
+    kernels::gemm_s8_nn(a8, b8s[t], want8[t], s.m, s.k, s.n, sa, sb);
+  }
+  std::vector<Tensor> outs(kCallers, Tensor({s.m, s.n}));
+  std::vector<std::vector<float>> outs8(kCallers,
+                                        std::vector<float>(s.m * s.n));
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (std::size_t t = 0; t < kCallers; ++t)
+    callers.emplace_back([&, t] {
+      for (int rep = 0; rep < 10; ++rep) {
+        kernels::gemm_nn(a.flat(), bs[t].flat(), outs[t].flat(), s.m, s.k,
+                         s.n);
+        kernels::gemm_s8_nn(a8, b8s[t], outs8[t], s.m, s.k, s.n, sa, sb);
+      }
+    });
+  for (auto& c : callers) c.join();
+  for (std::size_t t = 0; t < kCallers; ++t) {
+    for (std::size_t i = 0; i < want[t].size(); ++i)
+      ASSERT_EQ(outs[t][i], want[t][i])
+          << "concurrent caller " << t << " diverged at " << i;
+    for (std::size_t i = 0; i < want8[t].size(); ++i)
+      ASSERT_EQ(outs8[t][i], want8[t][i])
+          << "concurrent int8 caller " << t << " diverged at " << i;
+  }
 }
 
 TEST(Kernels, GemmS8RejectsMissizedSpansAndScales) {

@@ -30,7 +30,6 @@
 #include "serve/lru_cache.hpp"
 #include "serve/queue.hpp"
 #include "serve/registry.hpp"
-#include "serve/router.hpp"
 #include "serve/snapshot.hpp"
 #include "serve/screening.hpp"
 #include "serve/service.hpp"
@@ -350,7 +349,6 @@ class SingleTenantHarness {
     reg.register_tenant(key_, std::move(spec));
     EngineConfig engine_cfg;
     engine_cfg.pool_size = cfg.num_workers;
-    engine_cfg.seed = cfg.seed;
     engine_ = std::make_unique<ServeEngine>(reg.publish(), engine_cfg);
   }
 
@@ -811,7 +809,7 @@ TEST(Service, DriftTrendFlushesShardCache) {
 }
 
 // ---------------------------------------------------------------------------
-// ModelRegistry / ShardRouter
+// ModelRegistry / DeploymentSnapshot routing
 // ---------------------------------------------------------------------------
 
 ReplicaFactory dummy_factory() {
@@ -833,24 +831,26 @@ TEST(Registry, ResolvesExactFallbackAndMiss) {
   reg.set_profile_fallbacks({"OP3", ""});
   EXPECT_EQ(reg.size(), 3u);
 
-  const auto exact = reg.resolve({"A", 0, "OP3"});
-  EXPECT_EQ(exact.kind, ModelRegistry::Resolution::Kind::Exact);
+  const auto snap = reg.publish();
+
+  const auto exact = snap->route({"A", 0, "OP3"});
+  EXPECT_EQ(exact.status, RouteDecision::Status::Exact);
   EXPECT_EQ(exact.resolved, (TenantKey{"A", 0, "OP3"}));
 
   // Unknown profile walks the chain to the venue's OP3 model...
-  const auto fb = reg.resolve({"A", 0, "S7"});
-  EXPECT_EQ(fb.kind, ModelRegistry::Resolution::Kind::Fallback);
+  const auto fb = snap->route({"A", 0, "S7"});
+  EXPECT_EQ(fb.status, RouteDecision::Status::Fallback);
   EXPECT_EQ(fb.resolved, (TenantKey{"A", 0, "OP3"}));
   // ...or to the venue-generic entry when there is no OP3 model.
-  const auto generic = reg.resolve({"B", 0, "S7"});
-  EXPECT_EQ(generic.kind, ModelRegistry::Resolution::Kind::Fallback);
+  const auto generic = snap->route({"B", 0, "S7"});
+  EXPECT_EQ(generic.status, RouteDecision::Status::Fallback);
   EXPECT_EQ(generic.resolved, (TenantKey{"B", 0, ""}));
 
-  // Unknown building and unknown floor are misses, not guesses.
-  EXPECT_EQ(reg.resolve({"C", 0, "OP3"}).kind,
-            ModelRegistry::Resolution::Kind::Miss);
-  EXPECT_EQ(reg.resolve({"A", 7, "OP3"}).kind,
-            ModelRegistry::Resolution::Kind::Miss);
+  // Unknown building and unknown floor are rejects, not guesses.
+  EXPECT_EQ(snap->route({"C", 0, "OP3"}).status,
+            RouteDecision::Status::Reject);
+  EXPECT_EQ(snap->route({"A", 7, "OP3"}).status,
+            RouteDecision::Status::Reject);
 }
 
 TEST(Registry, ValidatesSpecsAndRejectsDuplicates) {
@@ -883,32 +883,32 @@ TEST(Router, DeterministicShardsAndRouting) {
   reg.register_tenant({"A", 0, ""}, dummy_spec());
   reg.set_profile_fallbacks({"OP3", ""});
 
-  const ShardRouter router(reg);
-  ASSERT_EQ(router.num_shards(), 3u);
+  const auto snap = reg.publish();
+  ASSERT_EQ(snap->num_tenants(), 3u);
   // str()-sorted shard order: "A/0:*" < "A/0:OP3" < "B/0:OP3".
-  EXPECT_EQ(router.shard_key(0), (TenantKey{"A", 0, ""}));
-  EXPECT_EQ(router.shard_key(1), (TenantKey{"A", 0, "OP3"}));
-  EXPECT_EQ(router.shard_key(2), (TenantKey{"B", 0, "OP3"}));
-  EXPECT_THROW(router.shard_key(3), PreconditionError);
+  EXPECT_EQ(snap->tenant(0).key, (TenantKey{"A", 0, ""}));
+  EXPECT_EQ(snap->tenant(1).key, (TenantKey{"A", 0, "OP3"}));
+  EXPECT_EQ(snap->tenant(2).key, (TenantKey{"B", 0, "OP3"}));
+  EXPECT_THROW(snap->tenant(3), PreconditionError);
 
-  const auto exact = router.route({"B", 0, "OP3"});
+  const auto exact = snap->route({"B", 0, "OP3"});
   EXPECT_EQ(exact.status, RouteDecision::Status::Exact);
   EXPECT_EQ(exact.shard, 2u);
 
-  const auto fb = router.route({"A", 0, "S7"});
+  const auto fb = snap->route({"A", 0, "S7"});
   EXPECT_EQ(fb.status, RouteDecision::Status::Fallback);
   EXPECT_EQ(fb.shard, 1u);  // chain prefers OP3 over venue-generic
 
   // No venue-generic entry for B, but the chain still finds B's OP3
   // model for a profile-less request.
-  const auto generic = router.route({"B", 0, ""});
+  const auto generic = snap->route({"B", 0, ""});
   EXPECT_EQ(generic.status, RouteDecision::Status::Fallback);
   EXPECT_EQ(generic.shard, 2u);
 
-  EXPECT_EQ(router.route({"Z", 0, "OP3"}).status,
+  EXPECT_EQ(snap->route({"Z", 0, "OP3"}).status,
             RouteDecision::Status::Reject);
 
-  EXPECT_THROW(ShardRouter{ModelRegistry{}}, PreconditionError);
+  EXPECT_THROW(ModelRegistry{}.publish(), PreconditionError);
 }
 
 // ---------------------------------------------------------------------------
@@ -1546,13 +1546,12 @@ TEST(Engine, RemovedTenantFailsQueuedAndRejectsNew) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine vs. registry-level router agreement
+// Engine routing
 // ---------------------------------------------------------------------------
 
 TEST(Engine, RouteStatusesAgreeWithRegistryRouter) {
   const auto& fleet = small_fleet();
   ModelRegistry reg = small_fleet_registry(1);
-  const ShardRouter router(reg);
   EngineConfig cfg;
   cfg.pool_size = 3;
   ServeEngine engine(reg.publish(), cfg);
@@ -1570,11 +1569,6 @@ TEST(Engine, RouteStatusesAgreeWithRegistryRouter) {
   auto rej = submit_blocking(engine, {"venue-z", 0, "OP3"}, row_of(x, 0));
   EXPECT_EQ(rej.decision.status, RouteDecision::Status::Reject);
   EXPECT_FALSE(rej.result.get().localized);
-
-  // The offline ShardRouter snapshot agrees with the live engine's
-  // routing, decision for decision.
-  EXPECT_EQ(router.route({"venue-a", 0, "S7"}).status,
-            RouteDecision::Status::Fallback);
 
   engine.shutdown();
   engine.shutdown();  // idempotent
